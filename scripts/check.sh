@@ -24,6 +24,13 @@ step python -m pytest -q tests/test_obs.py -k disabled
 echo "== bench gate: fresh BENCH_*.json vs stored baseline =="
 step python scripts/bench_gate.py
 
+echo "== benchmark unit tests (perfbench/, outside Tier-1) =="
+step python -m pytest -q perfbench
+
+echo "== benchmark binding sites: every wrapped entry point still exists =="
+step python -c "import sys; sys.path.insert(0, 'perfbench'); import layers; layers.install(layers.Recorder())"
+echo "ok"
+
 echo "== resilience smoke: injected fault must fail the verifier =="
 step python -m repro faults verilog-initial --smoke
 

@@ -20,7 +20,8 @@ from .. import cache as artifact_cache
 from ..frontends.base import Design
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..rtl import elaborate
+from ..rtl import Netlist, elaborate
+from ..sim import Simulator
 from ..synth import SynthReport, synthesize
 from .loc import design_loc
 from .verify import verify_design
@@ -134,7 +135,8 @@ def measure_design(design: Design, n_matrices: int = 4,
     return measured
 
 
-def _synth_pair(design: Design) -> tuple[SynthReport, SynthReport]:
+def _netlist(design: Design) -> Netlist:
+    """The design's elaborated netlist, from the artifact cache if active."""
     disk = artifact_cache.active()
     key = None
     netlist = None
@@ -145,13 +147,21 @@ def _synth_pair(design: Design) -> tuple[SynthReport, SynthReport]:
         netlist = elaborate(design.top)
         if disk is not None:
             disk.put_pickle("netlist", key, netlist)
+    return netlist
+
+
+def _synth_pair(netlist: Netlist) -> tuple[SynthReport, SynthReport]:
     return synthesize(netlist), synthesize(netlist, max_dsp=0)
 
 
 def _measure_stream(design: Design, n_matrices: int,
                     engine: str = "compiled") -> Measured:
-    run = verify_design(design, n_matrices=n_matrices, engine=engine)
-    with_dsp, no_dsp = _synth_pair(design)
+    # One elaboration serves both simulation and synthesis: the simulator
+    # copies memory contents and never writes to the netlist.
+    netlist = _netlist(design)
+    run = verify_design(design, n_matrices=n_matrices,
+                        simulator=Simulator(netlist, engine=engine))
+    with_dsp, no_dsp = _synth_pair(netlist)
     return Measured(
         name=design.name,
         language=design.language,
@@ -180,7 +190,7 @@ def _measure_maxj(design: Design) -> Measured:
 
     meta = design.meta["maxj"]
     bit_exact = verify_maxj(design, random_matrices(3))
-    with_dsp, no_dsp = _synth_pair(design)
+    with_dsp, no_dsp = _synth_pair(_netlist(design))
     manager = system_throughput(
         with_dsp.fmax_mhz, meta["ticks_per_op"], meta["input_bits"], meta["link"]
     )

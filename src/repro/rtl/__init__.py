@@ -26,11 +26,13 @@ from .ir import (
     Slice,
     UnOp,
     UnOpKind,
+    children,
     emit_py,
     eval_expr,
     expr_mem_reads,
     expr_signals,
     expr_size,
+    iter_unique,
 )
 from .module import Instance, Memory, MemWrite, Module, Register
 
@@ -51,6 +53,8 @@ __all__ = [
     "MemRead",
     "eval_expr",
     "emit_py",
+    "children",
+    "iter_unique",
     "expr_signals",
     "expr_mem_reads",
     "expr_size",

@@ -64,6 +64,19 @@ class Netlist:
     memories: list[Memory] = field(default_factory=list)
 
     # ------------------------------------------------------------------
+    def roots(self) -> list[Expr]:
+        """Every expression root: assigns, register next/enable, memory
+        write ports (in that order)."""
+        roots = [expr for _sig, expr in self.assigns]
+        for reg in self.registers:
+            roots.append(reg.next)
+            if reg.en is not None:
+                roots.append(reg.en)
+        for mem in self.memories:
+            for write in mem.writes:
+                roots.extend((write.en, write.addr, write.data))
+        return roots
+
     def signals(self) -> list[Signal]:
         """Every signal in the netlist, in a stable order."""
         seen: dict[Signal, None] = {}
@@ -75,21 +88,12 @@ class Netlist:
             seen.setdefault(reg.signal)
         for sig in self.outputs:
             seen.setdefault(sig)
-        # signals only ever read (should not exist after validation)
-        for _sig, expr in self.assigns:
-            for read in expr_signals(expr):
+        # signals only ever read (should not exist after validation); one
+        # visited set across all roots walks the netlist as one DAG
+        visited: set[int] = set()
+        for root in self.roots():
+            for read in expr_signals(root, seen=visited):
                 seen.setdefault(read)
-        for reg in self.registers:
-            for read in expr_signals(reg.next):
-                seen.setdefault(read)
-            if reg.en is not None:
-                for read in expr_signals(reg.en):
-                    seen.setdefault(read)
-        for mem in self.memories:
-            for write in mem.writes:
-                for expr in (write.en, write.addr, write.data):
-                    for read in expr_signals(expr):
-                        seen.setdefault(read)
         return list(seen)
 
     def validate(self) -> None:
@@ -106,8 +110,13 @@ class Netlist:
                 raise DriverError(f"{self.name}: {reg.signal.name} driven more than once")
             drivers[reg.signal] = "register"
 
+        # One visited set across all roots: a node already checked under an
+        # earlier root read only driven signals (or that root would have
+        # raised), so skipping it never hides the first error.
+        visited: set[int] = set()
+
         def check_reads(expr: Expr, context: str) -> None:
-            for read in expr_signals(expr):
+            for read in expr_signals(expr, seen=visited):
                 if read not in drivers:
                     raise DriverError(
                         f"{self.name}: {read.name} read by {context} but never driven"
@@ -141,16 +150,16 @@ class Netlist:
         the Bambu-style single-channel violations the tests exercise.
         """
         reads: dict[Memory, set[int]] = {}
-        def scan(expr: Expr) -> None:
-            for node in expr_mem_reads(expr):
-                reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
-
+        visited: set[int] = set()
+        nodes: list[MemRead] = []
         for _sig, expr in self.assigns:
-            scan(expr)
+            expr_mem_reads(expr, nodes, visited)
         for reg in self.registers:
-            scan(reg.next)
+            expr_mem_reads(reg.next, nodes, visited)
             if reg.en is not None:
-                scan(reg.en)
+                expr_mem_reads(reg.en, nodes, visited)
+        for node in nodes:
+            reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
         for mem, addrs in reads.items():
             if len(addrs) > mem.max_read_ports * 8:
                 # The factor of 8 reflects time-multiplexing headroom the
@@ -296,7 +305,8 @@ def elaborate(top: Module) -> Netlist:
             top_map[sig] = Ref(sig)
             netlist.outputs.append(sig)
         _flatten(top, "", top_map, netlist, ns, keep_names=True)
-        netlist.validate()
+        with obs_trace.span("elaborate.validate", module=top.name):
+            netlist.validate()
         if obs_trace.enabled():
             obs_metrics.inc("elaborate.runs")
             obs_metrics.inc("elaborate.nodes", len(netlist.assigns))

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from ..core.bits import to_signed
 from ..core.errors import WidthError
@@ -39,6 +40,9 @@ __all__ = [
     "Signal",
     "eval_expr",
     "emit_py",
+    "emit_node_py",
+    "children",
+    "iter_unique",
     "expr_signals",
     "expr_mem_reads",
     "expr_size",
@@ -394,17 +398,34 @@ def emit_py(
     value; ``mem_of`` maps a memory object to the Python name of its backing
     list.  The generated code may call the ``_sx(v, w)`` sign-extension
     helper, which the simulator defines in the compiled namespace.
+
+    Shared nodes are inlined once per path, so the string grows with the
+    number of paths; the compiled simulator instead renders each node once
+    with :func:`emit_node_py` and binds shared ones to temporaries.
+    """
+    operands = [emit_py(child, ref_of, mem_of) for child in children(expr)]
+    return emit_node_py(expr, operands, ref_of, mem_of)
+
+
+def emit_node_py(
+    expr: Expr,
+    operands: list[str],
+    ref_of: Callable[[Signal], str],
+    mem_of: Callable[[object], str] | None = None,
+) -> str:
+    """Emit the Python expression for one node of ``expr``.
+
+    ``operands`` holds the already-rendered code of ``children(expr)``, in
+    order; ``ref_of``/``mem_of`` are as for :func:`emit_py`.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, Ref):
         return ref_of(expr.signal)
     if isinstance(expr, BinOp):
-        a = emit_py(expr.a, ref_of, mem_of)
-        b = emit_py(expr.b, ref_of, mem_of)
-        return _emit_binop(expr, a, b)
+        return _emit_binop(expr, operands[0], operands[1])
     if isinstance(expr, UnOp):
-        a = emit_py(expr.a, ref_of, mem_of)
+        a = operands[0]
         msk = (1 << expr.a.width) - 1
         if expr.kind is UnOpKind.NOT:
             return f"(~({a}) & {msk})"
@@ -418,38 +439,32 @@ def emit_py(
             return f"(({a}).bit_count() & 1)"
         raise TypeError(f"unknown unop {expr.kind}")
     if isinstance(expr, Mux):
-        sel = emit_py(expr.sel, ref_of, mem_of)
-        t = emit_py(expr.if_true, ref_of, mem_of)
-        f = emit_py(expr.if_false, ref_of, mem_of)
+        sel, t, f = operands
         return f"(({t}) if ({sel}) else ({f}))"
     if isinstance(expr, Cat):
         pieces = []
         shift = expr.width
-        for part in expr.parts:
+        for part, code in zip(expr.parts, operands):
             shift -= part.width
-            code = emit_py(part, ref_of, mem_of)
             pieces.append(f"(({code}) << {shift})" if shift else f"({code})")
         return "(" + " | ".join(pieces) + ")"
     if isinstance(expr, Slice):
-        a = emit_py(expr.a, ref_of, mem_of)
+        a = operands[0]
         msk = (1 << expr.width) - 1
         if expr.lo == 0:
             return f"(({a}) & {msk})"
         return f"((({a}) >> {expr.lo}) & {msk})"
     if isinstance(expr, Ext):
-        a = emit_py(expr.a, ref_of, mem_of)
+        a = operands[0]
         if not expr.signed or expr.width == expr.a.width:
-            if expr.signed and expr.width == expr.a.width:
-                return f"({a})"
             return f"({a})"
         msk = (1 << expr.width) - 1
         return f"(_sx({a}, {expr.a.width}) & {msk})"
     if isinstance(expr, MemRead):
         if mem_of is None:
             raise WidthError("expression contains MemRead but no mem_of given")
-        addr = emit_py(expr.addr, ref_of, mem_of)
         depth = expr.memory.depth  # type: ignore[attr-defined]
-        return f"({mem_of(expr.memory)}[({addr}) % {depth}])"
+        return f"({mem_of(expr.memory)}[({operands[0]}) % {depth}])"
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -507,69 +522,92 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
 # structural queries
 # ----------------------------------------------------------------------
 
-def expr_signals(expr: Expr, out: set[Signal] | None = None) -> set[Signal]:
-    """Collect every signal read by ``expr`` (transitively)."""
+def _no_children(_expr: Expr) -> tuple[Expr, ...]:
+    return ()
+
+
+_CHILDREN: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
+    Const: _no_children,
+    Ref: _no_children,
+    BinOp: attrgetter("a", "b"),
+    UnOp: lambda expr: (expr.a,),
+    Mux: attrgetter("sel", "if_true", "if_false"),
+    Cat: attrgetter("parts"),
+    Slice: lambda expr: (expr.a,),
+    Ext: lambda expr: (expr.a,),
+    MemRead: lambda expr: (expr.addr,),
+}
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The operand nodes of ``expr``, left to right (empty for leaves)."""
+    return _CHILDREN.get(type(expr), _no_children)(expr)
+
+
+def iter_unique(expr: Expr, seen: set[int] | None = None) -> Iterator[Expr]:
+    """Yield every node of the DAG under ``expr`` once, children first.
+
+    Nodes are told apart by identity: a node object reused in many places
+    is yielded once, so a walk costs one step per unique node however many
+    paths reach it.  The order is that of a recursive left-to-right
+    post-order walk.  ``seen`` holds the ids of nodes already yielded;
+    passing one set across calls walks several roots as one DAG, each node
+    yielded under the first root that reaches it.  Iterative, so deep
+    chains do not hit the recursion limit.
+    """
+    if seen is None:
+        seen = set()
+    if id(expr) in seen:
+        return
+    seen.add(id(expr))
+    operands_of = _CHILDREN.get
+    stack = [(expr, iter(children(expr)))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            key = id(child)
+            if key not in seen:
+                seen.add(key)
+                operands = operands_of(type(child), _no_children)(child)
+                if operands:
+                    stack.append((child, iter(operands)))
+                    break
+                yield child  # a leaf: no need to stack it
+        else:
+            stack.pop()
+            yield node
+
+
+def expr_signals(expr: Expr, out: set[Signal] | None = None,
+                 seen: set[int] | None = None) -> set[Signal]:
+    """Collect every signal read by ``expr`` (transitively).
+
+    With a shared ``seen`` (see :func:`iter_unique`), nodes visited by an
+    earlier call are skipped, so only signals reached through new nodes
+    are added.
+    """
     if out is None:
         out = set()
-    if isinstance(expr, Ref):
-        out.add(expr.signal)
-    elif isinstance(expr, BinOp):
-        expr_signals(expr.a, out)
-        expr_signals(expr.b, out)
-    elif isinstance(expr, UnOp):
-        expr_signals(expr.a, out)
-    elif isinstance(expr, Mux):
-        expr_signals(expr.sel, out)
-        expr_signals(expr.if_true, out)
-        expr_signals(expr.if_false, out)
-    elif isinstance(expr, Cat):
-        for part in expr.parts:
-            expr_signals(part, out)
-    elif isinstance(expr, (Slice, Ext)):
-        expr_signals(expr.a, out)
-    elif isinstance(expr, MemRead):
-        expr_signals(expr.addr, out)
+    for node in iter_unique(expr, seen):
+        if isinstance(node, Ref):
+            out.add(node.signal)
     return out
 
 
-def expr_mem_reads(expr: Expr, out: list[MemRead] | None = None) -> list[MemRead]:
-    """Collect every :class:`MemRead` node in ``expr`` (pre-order)."""
+def expr_mem_reads(expr: Expr, out: list[MemRead] | None = None,
+                   seen: set[int] | None = None) -> list[MemRead]:
+    """Collect every :class:`MemRead` node in ``expr``, each node once.
+
+    ``seen`` is as for :func:`expr_signals`.
+    """
     if out is None:
         out = []
-    if isinstance(expr, MemRead):
-        out.append(expr)
-        expr_mem_reads(expr.addr, out)
-    elif isinstance(expr, BinOp):
-        expr_mem_reads(expr.a, out)
-        expr_mem_reads(expr.b, out)
-    elif isinstance(expr, UnOp):
-        expr_mem_reads(expr.a, out)
-    elif isinstance(expr, Mux):
-        expr_mem_reads(expr.sel, out)
-        expr_mem_reads(expr.if_true, out)
-        expr_mem_reads(expr.if_false, out)
-    elif isinstance(expr, Cat):
-        for part in expr.parts:
-            expr_mem_reads(part, out)
-    elif isinstance(expr, (Slice, Ext)):
-        expr_mem_reads(expr.a, out)
+    for node in iter_unique(expr, seen):
+        if isinstance(node, MemRead):
+            out.append(node)
     return out
 
 
 def expr_size(expr: Expr) -> int:
-    """Number of nodes in the expression tree (used by tests and reports)."""
-    if isinstance(expr, (Const, Ref)):
-        return 1
-    if isinstance(expr, BinOp):
-        return 1 + expr_size(expr.a) + expr_size(expr.b)
-    if isinstance(expr, UnOp):
-        return 1 + expr_size(expr.a)
-    if isinstance(expr, Mux):
-        return 1 + expr_size(expr.sel) + expr_size(expr.if_true) + expr_size(expr.if_false)
-    if isinstance(expr, Cat):
-        return 1 + sum(expr_size(part) for part in expr.parts)
-    if isinstance(expr, (Slice, Ext)):
-        return 1 + expr_size(expr.a)
-    if isinstance(expr, MemRead):
-        return 1 + expr_size(expr.addr)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+    """Number of unique nodes in the expression DAG (used by tests and reports)."""
+    return sum(1 for _node in iter_unique(expr))

@@ -41,9 +41,9 @@ from .ir import (
     Signal,
     Slice,
     UnOp,
+    children,
     eval_expr,
-    expr_mem_reads,
-    expr_signals,
+    iter_unique,
 )
 from .module import Memory, MemWrite
 
@@ -66,37 +66,21 @@ class OptStats:
                 + self.dead_assigns + self.dead_registers + self.dead_memories)
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
+def _rebuild(expr: Expr, operands: tuple[Expr, ...]) -> Expr:
     if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
+        return BinOp(expr.kind, operands[0], operands[1])
     if isinstance(expr, UnOp):
-        return (expr.a,)
+        return UnOp(expr.kind, operands[0])
     if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
+        return Mux(operands[0], operands[1], operands[2])
     if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
-
-
-def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, BinOp):
-        return BinOp(expr.kind, children[0], children[1])
-    if isinstance(expr, UnOp):
-        return UnOp(expr.kind, children[0])
-    if isinstance(expr, Mux):
-        return Mux(children[0], children[1], children[2])
-    if isinstance(expr, Cat):
-        return Cat(children)
+        return Cat(operands)
     if isinstance(expr, Slice):
-        return Slice(children[0], expr.hi, expr.lo)
+        return Slice(operands[0], expr.hi, expr.lo)
     if isinstance(expr, Ext):
-        return Ext(children[0], expr.width, expr.signed)
+        return Ext(operands[0], expr.width, expr.signed)
     if isinstance(expr, MemRead):
-        return MemRead(expr.memory, children[0])
+        return MemRead(expr.memory, operands[0])
     return expr
 
 
@@ -117,16 +101,16 @@ class _Rewriter:
         cached = self._memo.get(id(expr))
         if cached is not None:
             return cached
-        children = tuple(self.rewrite(c) for c in _children(expr))
+        operands = children(expr)
+        rewritten = tuple(self.rewrite(c) for c in operands)
         if isinstance(expr, MemRead):
             # Always rebuild reads so they point at the cloned memory.
             memory = self._mem_map.get(expr.memory, expr.memory)
-            node: Expr = MemRead(memory, children[0])
-        elif (all(a is b for a, b in zip(children, _children(expr)))
-                and len(children) == len(_children(expr))):
+            node: Expr = MemRead(memory, rewritten[0])
+        elif all(a is b for a, b in zip(rewritten, operands)):
             node = expr
         else:
-            node = _rebuild(expr, children)
+            node = _rebuild(expr, rewritten)
         if self._fold:
             node = self._try_fold(node)
         if self._simplify:
@@ -142,7 +126,7 @@ class _Rewriter:
             return expr
         if isinstance(expr, MemRead):
             return expr
-        if all(isinstance(c, Const) for c in _children(expr)):
+        if all(isinstance(c, Const) for c in children(expr)):
             value = eval_expr(expr, lambda _sig: 0)
             self._stats.folded += 1
             return Const(value, expr.width)
@@ -328,17 +312,24 @@ def _dce(netlist, assigns, registers, memories, stats):
     live_mems: set[Memory] = set()
     worklist: list[Signal] = list(netlist.outputs)
 
+    # One visited set across every call: a node marked before has already
+    # had its signals queued and its memory marked live.
+    visited: set[int] = set()
+
     def mark_expr(expr: Expr) -> None:
-        for sig in expr_signals(expr):
-            if sig not in live:
-                worklist.append(sig)
-        for node in expr_mem_reads(expr):
-            if node.memory not in live_mems:
+        new_mems: list[Memory] = []
+        for node in iter_unique(expr, visited):
+            if isinstance(node, Ref):
+                if node.signal not in live:
+                    worklist.append(node.signal)
+            elif isinstance(node, MemRead) and node.memory not in live_mems:
                 live_mems.add(node.memory)  # type: ignore[arg-type]
-                for write in node.memory.writes:  # type: ignore[attr-defined]
-                    mark_expr(write.en)
-                    mark_expr(write.addr)
-                    mark_expr(write.data)
+                new_mems.append(node.memory)  # type: ignore[arg-type]
+        for mem in new_mems:
+            for write in mem.writes:
+                mark_expr(write.en)
+                mark_expr(write.addr)
+                mark_expr(write.data)
 
     while worklist:
         sig = worklist.pop()

@@ -75,10 +75,12 @@ from ..rtl.ir import (
     UnOpKind,
     _eval_binop,
     _eval_unop,
+    children,
+    iter_unique,
     to_signed,
 )
 from ..rtl.module import Memory, Module
-from .compile import CompiledNetlist, _children
+from .compile import CompiledNetlist
 
 __all__ = [
     "BatchCompiled",
@@ -203,6 +205,7 @@ class _BatchEmitter:
         self._ones = sum(1 << (i * stride) for i in range(lanes))
         self._pool = pool
         self._counts: dict[int, int] = {}
+        self._counted: set[int] = set()
         self._temp_of: dict[int, str] = {}
         self._smear_of: dict[int, str] = {}
         self._lines: list[str] = []
@@ -210,12 +213,11 @@ class _BatchEmitter:
 
     # -- analysis ------------------------------------------------------
     def count(self, expr: Expr) -> None:
-        key = id(expr)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if self._counts[key] > 1:
-            return
-        for child in _children(expr):
-            self.count(child)
+        counts = self._counts
+        counts[id(expr)] = counts.get(id(expr), 0) + 1
+        for node in iter_unique(expr, self._counted):
+            for child in children(node):
+                counts[id(child)] = counts.get(id(child), 0) + 1
 
     # -- constants -----------------------------------------------------
     def _lit(self, value: int) -> str:
@@ -472,28 +474,10 @@ def _max_expr_width(netlist: Netlist) -> int:
     """The widest value anywhere in the design (signals and expressions)."""
     seen: set[int] = set()
     widest = 1
-
-    def walk(expr: Expr) -> None:
-        nonlocal widest
-        if id(expr) in seen:
-            return
-        seen.add(id(expr))
-        if expr.width > widest:
-            widest = expr.width
-        for child in _children(expr):
-            walk(child)
-
-    for _sig, expr in netlist.comb_order():
-        walk(expr)
-    for reg in netlist.registers:
-        walk(reg.next)
-        if reg.en is not None:
-            walk(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            walk(write.en)
-            walk(write.addr)
-            walk(write.data)
+    for root in netlist.roots():
+        for node in iter_unique(root, seen):
+            if node.width > widest:
+                widest = node.width
     for sig in netlist.signals():
         if sig.width > widest:
             widest = sig.width

@@ -6,19 +6,25 @@ and memory commit) — operating on a flat list of unsigned integers.
 
 Expression trees built by frontends are frequently DAGs (the same node
 object reused in many places).  Naive code emission would duplicate shared
-subtrees exponentially, so a common-subexpression pass hoists every node
-referenced more than once into a local temporary first.
+subtrees once per path, so emission is single-pass SSA: a reference count
+over the unique nodes of each function, then one bottom-up pass that
+renders every node exactly once from its operands' code.  An operator
+node referenced more than once becomes a local temporary, bound just
+before its first use; every other node (and every constant or signal
+read) is inlined where it is used.  Both passes cost one step per unique
+node, however much sharing the DAG has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..core.bits import to_signed
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import Const, Expr, MemRead, Ref, Signal, emit_py
+from ..rtl.ir import Const, Expr, Ref, Signal, children, emit_node_py, iter_unique
 from ..rtl.module import Memory
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
@@ -41,146 +47,56 @@ class CompiledNetlist:
     source: str     # generated Python, kept for debugging and tests
 
 
-class _Emitter:
-    """Shared-subexpression-aware statement emitter."""
+def _render(roots: list[Expr], index_of: dict[Signal, int],
+            mem_index_of: dict[Memory, int], lines: list[str]) -> Iterator[str]:
+    """Yield the Python code of each root in turn, in one topological pass.
 
-    def __init__(self, index_of: dict[Signal, int], mem_index_of: dict[Memory, int]) -> None:
-        self._index_of = index_of
-        self._mem_index_of = mem_index_of
-        self._counts: dict[int, int] = {}
-        self._nodes: dict[int, Expr] = {}
-        self._temp_of: dict[int, str] = {}
-        self._lines: list[str] = []
-        self._next_temp = 0
-
-    # -- analysis ------------------------------------------------------
-    def count(self, expr: Expr) -> None:
-        """Count references to every node (children of a node counted once)."""
-        key = id(expr)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if self._counts[key] > 1:
-            return
-        self._nodes[key] = expr
-        for child in _children(expr):
-            self.count(child)
-
-    # -- emission ------------------------------------------------------
-    def _ref_of(self, sig: Signal) -> str:
-        return f"v[{self._index_of[sig]}]"
-
-    def _mem_of(self, mem: Memory) -> str:
-        return f"mems[{self._mem_index_of[mem]}]"
-
-    def code_for(self, expr: Expr) -> str:
-        """Python expression string for ``expr``, hoisting shared nodes."""
-        key = id(expr)
-        if key in self._temp_of:
-            return self._temp_of[key]
-        if self._counts.get(key, 0) > 1 and not isinstance(expr, (Const, Ref)):
-            # Hoist: emit children first (recursively), then a temp binding.
-            inner = emit_py(expr, self._ref_of, self._mem_of) \
-                if not _has_shared_children(expr, self) else self._emit_with_temps(expr)
-            temp = f"t{self._next_temp}"
-            self._next_temp += 1
-            self._lines.append(f"    {temp} = {inner}")
-            self._temp_of[key] = temp
-            return temp
-        if _has_shared_children(expr, self):
-            return self._emit_with_temps(expr)
-        return emit_py(expr, self._ref_of, self._mem_of)
-
-    def _emit_with_temps(self, expr: Expr) -> str:
-        """Emit ``expr`` where some children are hoisted temporaries."""
-        # Hoist shared children first, then emit this node with a reader
-        # that intercepts them.  emit_py only sees leaf signals, so we wrap
-        # the whole recursion manually for structured nodes.
-        parts = {id(child): self.code_for(child) for child in _children(expr)}
-
-        # Re-emit this single node with children replaced by their code.
-        return _emit_node(expr, parts, self._ref_of, self._mem_of)
-
-    def statement(self, line: str) -> None:
-        self._lines.append(f"    {line}")
-
-    @property
-    def lines(self) -> list[str]:
-        return self._lines
-
-
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    from ..rtl.ir import BinOp, Cat, Ext, Mux, Slice, UnOp
-
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
-
-
-def _has_shared_children(expr: Expr, emitter: _Emitter) -> bool:
-    """True when any transitive child is (or contains) a hoisted node."""
-    for child in _children(expr):
-        key = id(child)
-        if emitter._counts.get(key, 0) > 1 and not isinstance(child, (Const, Ref)):
-            return True
-        if _has_shared_children(child, emitter):
-            return True
-    return False
-
-
-def _emit_node(
-    expr: Expr,
-    child_code: dict[int, str],
-    ref_of,
-    mem_of,
-) -> str:
-    """Emit one node given pre-rendered code for its children.
-
-    We reuse :func:`emit_py` by substituting placeholder signals: build a
-    shallow clone where each structured child is replaced by a fake Ref and
-    map those fake signals to the rendered code.
+    The unique nodes are first listed children-first (each root contributes
+    the nodes it reaches before any later root) and their references
+    counted.  Rendering then walks that list once: each node's code is
+    built from its operands' code, an operator node referenced more than
+    once is bound to a temporary appended to ``lines``, and every other
+    node is inlined where it is used.  A root's code is yielded right after
+    its own temporaries, so the caller's statement for it lands before the
+    next root's temporaries (settle order matters: those may read it).
     """
-    from ..rtl.ir import BinOp, Cat, Ext, Mux, Slice, UnOp
+    def ref_of(sig: Signal) -> str:
+        return f"v[{index_of[sig]}]"
 
-    fakes: dict[Signal, str] = {}
+    def mem_of(mem: Memory) -> str:
+        return f"mems[{mem_index_of[mem]}]"
 
-    def wrap(child: Expr) -> Expr:
-        code = child_code[id(child)]
-        fake = Signal(f"__tmp{len(fakes)}", child.width)
-        fakes[fake] = code
-        return Ref(fake)
+    refs: dict[int, int] = {}
+    seen: set[int] = set()
+    plan: list[list[tuple[Expr, tuple[Expr, ...]]]] = []
+    for root in roots:
+        refs[id(root)] = refs.get(id(root), 0) + 1
+        nodes = []
+        for node in iter_unique(root, seen):
+            operands = children(node)
+            for child in operands:
+                refs[id(child)] = refs.get(id(child), 0) + 1
+            nodes.append((node, operands))
+        plan.append(nodes)
 
-    if isinstance(expr, BinOp):
-        clone: Expr = BinOp(expr.kind, wrap(expr.a), wrap(expr.b))
-    elif isinstance(expr, UnOp):
-        clone = UnOp(expr.kind, wrap(expr.a))
-    elif isinstance(expr, Mux):
-        clone = Mux(wrap(expr.sel), wrap(expr.if_true), wrap(expr.if_false))
-    elif isinstance(expr, Cat):
-        clone = Cat(tuple(wrap(p) for p in expr.parts))
-    elif isinstance(expr, Slice):
-        clone = Slice(wrap(expr.a), expr.hi, expr.lo)
-    elif isinstance(expr, Ext):
-        clone = Ext(wrap(expr.a), expr.width, expr.signed)
-    elif isinstance(expr, MemRead):
-        clone = MemRead(expr.memory, wrap(expr.addr))
-    else:  # Const / Ref have no children
-        return emit_py(expr, ref_of, mem_of)
+    code: dict[int, str] = {}
 
-    def reader(sig: Signal) -> str:
-        if sig in fakes:
-            return fakes[sig]
-        return ref_of(sig)
+    def take(node: Expr) -> str:
+        # a node used once gives its code up to that one user
+        key = id(node)
+        return code.pop(key) if refs[key] == 1 else code[key]
 
-    return emit_py(clone, reader, mem_of)
+    n_temps = 0
+    for root, nodes in zip(roots, plan):
+        for node, operands in nodes:
+            text = emit_node_py(node, [take(c) for c in operands], ref_of, mem_of)
+            if refs[id(node)] > 1 and not isinstance(node, (Const, Ref)):
+                temp = f"t{n_temps}"
+                n_temps += 1
+                lines.append(f"    {temp} = {text}")
+                text = temp
+            code[id(node)] = text
+        yield take(root)
 
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
@@ -190,67 +106,11 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 
 
 def _compile_traced(netlist: Netlist, span) -> CompiledNetlist:
-    signals = netlist.signals()
-    index_of = {sig: i for i, sig in enumerate(signals)}
-    mem_index_of = {mem: i for i, mem in enumerate(netlist.memories)}
-    ordered = netlist.comb_order()
-
-    # -- settle --------------------------------------------------------
-    settle_emit = _Emitter(index_of, mem_index_of)
-    for _sig, expr in ordered:
-        settle_emit.count(expr)
-    settle_body: list[str] = []
-    for sig, expr in ordered:
-        code = settle_emit.code_for(expr)
-        settle_emit.statement(f"v[{index_of[sig]}] = {code}")
-    settle_body = settle_emit.lines or ["    pass"]
-
-    # -- tick ----------------------------------------------------------
-    tick_emit = _Emitter(index_of, mem_index_of)
-    for reg in netlist.registers:
-        tick_emit.count(reg.next)
-        if reg.en is not None:
-            tick_emit.count(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            tick_emit.count(write.en)
-            tick_emit.count(write.addr)
-            tick_emit.count(write.data)
-
-    commit_lines: list[str] = []
-    for i, reg in enumerate(netlist.registers):
-        next_code = tick_emit.code_for(reg.next)
-        if reg.en is None:
-            tick_emit.statement(f"n{i} = {next_code}")
-            commit_lines.append(f"    v[{index_of[reg.signal]}] = n{i}")
-        else:
-            en_code = tick_emit.code_for(reg.en)
-            idx = index_of[reg.signal]
-            tick_emit.statement(f"n{i} = ({next_code}) if ({en_code}) else v[{idx}]")
-            commit_lines.append(f"    v[{idx}] = n{i}")
-    for mi, mem in enumerate(netlist.memories):
-        for wi, write in enumerate(mem.writes):
-            en_code = tick_emit.code_for(write.en)
-            addr_code = tick_emit.code_for(write.addr)
-            data_code = tick_emit.code_for(write.data)
-            tick_emit.statement(
-                f"w{mi}_{wi} = (({addr_code}) % {mem.depth}, "
-                f"({data_code}) & {(1 << mem.width) - 1}) if ({en_code}) else None"
-            )
-            commit_lines.append(f"    if w{mi}_{wi} is not None:")
-            commit_lines.append(
-                f"        mems[{mi}][w{mi}_{wi}[0]] = w{mi}_{wi}[1]"
-            )
-    tick_body = tick_emit.lines + commit_lines or ["    pass"]
-
-    source = "\n".join(
-        ["def settle(v, mems):"]
-        + settle_body
-        + ["", "def tick(v, mems):"]
-        + (tick_body or ["    pass"])
-    )
-    namespace: dict[str, object] = {"_sx": to_signed}
-    exec(compile(source, f"<netlist {netlist.name}>", "exec"), namespace)
+    with obs_trace.span("sim.compile.codegen", netlist=netlist.name):
+        signals, index_of, mem_index_of, source = _generate(netlist)
+    with obs_trace.span("sim.compile.exec", netlist=netlist.name):
+        namespace: dict[str, object] = {"_sx": to_signed}
+        exec(compile(source, f"<netlist {netlist.name}>", "exec"), namespace)
     if obs_trace.enabled():
         n_lines = source.count("\n") + 1
         obs_metrics.inc("sim.compile.netlists")
@@ -264,3 +124,59 @@ def _compile_traced(netlist: Netlist, span) -> CompiledNetlist:
         tick=namespace["tick"],
         source=source,
     )
+
+
+def _generate(netlist: Netlist):
+    """``(signals, index_of, mem_index_of, source)`` for ``netlist``."""
+    signals = netlist.signals()
+    index_of = {sig: i for i, sig in enumerate(signals)}
+    mem_index_of = {mem: i for i, mem in enumerate(netlist.memories)}
+    ordered = netlist.comb_order()
+
+    # -- settle --------------------------------------------------------
+    settle_body: list[str] = []
+    settle_codes = _render([expr for _sig, expr in ordered], index_of,
+                           mem_index_of, settle_body)
+    for (sig, _expr), code in zip(ordered, settle_codes):
+        settle_body.append(f"    v[{index_of[sig]}] = {code}")
+
+    # -- tick ----------------------------------------------------------
+    roots: list[Expr] = []
+    for reg in netlist.registers:
+        roots.append(reg.next)
+        if reg.en is not None:
+            roots.append(reg.en)
+    for mem in netlist.memories:
+        for write in mem.writes:
+            roots.extend((write.en, write.addr, write.data))
+    tick_body: list[str] = []
+    tick_codes = _render(roots, index_of, mem_index_of, tick_body)
+    commit_lines: list[str] = []
+    for i, reg in enumerate(netlist.registers):
+        next_code = next(tick_codes)
+        idx = index_of[reg.signal]
+        if reg.en is None:
+            tick_body.append(f"    n{i} = {next_code}")
+        else:
+            en_code = next(tick_codes)
+            tick_body.append(f"    n{i} = ({next_code}) if ({en_code}) else v[{idx}]")
+        commit_lines.append(f"    v[{idx}] = n{i}")
+    for mi, mem in enumerate(netlist.memories):
+        for wi, write in enumerate(mem.writes):
+            en_code, addr_code, data_code = (next(tick_codes) for _ in range(3))
+            tick_body.append(
+                f"    w{mi}_{wi} = (({addr_code}) % {mem.depth}, "
+                f"({data_code}) & {(1 << mem.width) - 1}) if ({en_code}) else None"
+            )
+            commit_lines.append(f"    if w{mi}_{wi} is not None:")
+            commit_lines.append(
+                f"        mems[{mi}][w{mi}_{wi}[0]] = w{mi}_{wi}[1]"
+            )
+
+    source = "\n".join(
+        ["def settle(v, mems):"]
+        + (settle_body or ["    pass"])
+        + ["", "def tick(v, mems):"]
+        + (tick_body + commit_lines or ["    pass"])
+    )
+    return signals, index_of, mem_index_of, source

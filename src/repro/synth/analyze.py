@@ -20,7 +20,7 @@ from ..core.errors import SynthesisError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import BinOp, Cat, Const, Expr, Ext, MemRead, Mux, Ref, Signal, Slice, UnOp
+from ..rtl.ir import Expr, Ref, Signal, children, iter_unique
 from ..rtl.module import Memory
 from .cost import is_dsp_candidate, mult_dsp_count, node_cost
 from .device import XCVU9P, Device
@@ -63,38 +63,12 @@ class SynthReport:
         )
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
-
-
 def _collect_nodes(roots: list[Expr]) -> list[Expr]:
     """Unique expression nodes (by object identity), children first."""
     seen: set[int] = set()
     ordered: list[Expr] = []
-
-    def visit(node: Expr) -> None:
-        key = id(node)
-        if key in seen:
-            return
-        seen.add(key)
-        for child in _children(node):
-            visit(child)
-        ordered.append(node)
-
     for root in roots:
-        visit(root)
+        ordered.extend(iter_unique(root, seen))
     return ordered
 
 
@@ -127,18 +101,9 @@ def synthesize(
 
 
 def _synthesize_traced(netlist, tech, device, max_dsp, sp) -> SynthReport:
-    roots: list[Expr] = [expr for _sig, expr in netlist.assigns]
-    for reg in netlist.registers:
-        roots.append(reg.next)
-        if reg.en is not None:
-            roots.append(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            roots.extend((write.en, write.addr, write.data))
-
     map_span = obs_trace.span("synth.map", netlist=netlist.name)
     map_span.__enter__()
-    nodes = _collect_nodes(roots)
+    nodes = _collect_nodes(netlist.roots())
 
     # ------------------------------------------------------------------
     # DSP budget allocation: biggest variable multipliers first.
@@ -193,7 +158,7 @@ def _synthesize_traced(netlist, tech, device, max_dsp, sp) -> SynthReport:
         if isinstance(node, Ref):
             value = arrival_sig.get(node.signal, 0.0)
         else:
-            base = max((arrival(child) for child in _children(node)), default=0.0)
+            base = max((arrival(child) for child in children(node)), default=0.0)
             value = base + costs[key]
         arrival_node[key] = value
         return value

@@ -92,6 +92,32 @@ class TestMeasurement:
         second = measure_design(verilog_opt())
         assert first is second
 
+    def test_measure_elaborates_once(self):
+        # Simulation and both synthesis runs share one netlist, and the
+        # result still matches the benchmark's committed golden.
+        import json
+        import pathlib
+
+        from repro import obs
+        from repro.cache import active
+        from repro.frontends.vlog import verilog_opt
+
+        golden_path = (pathlib.Path(__file__).resolve().parents[1]
+                       / "perfbench" / "golden" / "measured.json")
+        golden = json.loads(golden_path.read_text())["measured"]["verilog-opt"]
+        assert active() is None
+        obs.disable()
+        obs.clear()
+        obs.enable()
+        try:
+            measured = measure_design(verilog_opt(), use_cache=False)
+            counters = obs.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.clear()
+        assert counters["elaborate.runs"] == 1
+        assert measured.to_json() == golden
+
     def test_measure_maxj_uses_manager(self):
         from repro.frontends.maxj import maxj_initial
 
